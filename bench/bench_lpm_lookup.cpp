@@ -1,4 +1,5 @@
-// FlatLpm vs PrefixTrie lookup microbenchmark.
+// FlatLpm vs PrefixTrie lookup microbenchmark. The trie is the test
+// oracle from tests/oracle: what a plain bit-per-node walk costs.
 //
 // Setup (untimed): a seeded 120k-prefix table — same clumpy nested/
 // overlapping mix as lpm_differential_test — compiled once into a
@@ -21,8 +22,8 @@
 #include "cellspot/analysis/pipeline.hpp"
 #include "cellspot/exec/executor.hpp"
 #include "cellspot/netaddr/flat_lpm.hpp"
-#include "cellspot/netaddr/prefix_trie.hpp"
 #include "cellspot/util/rng.hpp"
+#include "oracle/prefix_trie.hpp"
 
 namespace {
 
@@ -119,7 +120,7 @@ int main(int argc, char** argv) {
       prefixes.push_back(p);
     }
   }
-  const auto flat = netaddr::FlatLpm<std::uint32_t>::Build(trie);
+  const auto flat = netaddr::FlatLpm<std::uint32_t>::Build(trie.SortedEntries());
   const std::vector<IpAddress> probes = BuildProbes(rng, prefixes, kProbeCount);
 
   // End-to-end anchor: a Tiny-world pipeline run whose classify and

@@ -1,6 +1,6 @@
 // Microbenchmarks of the pipeline's hot paths (google-benchmark):
-// prefix-trie longest-prefix-match, block classification, beacon log
-// parsing, and per-block aggregate generation. These are not paper
+// RIB longest-prefix-match, flat LPM compilation, block classification,
+// beacon log parsing, and per-block aggregate generation. These are not paper
 // experiments; they bound the cost of scaling the world up.
 #include <benchmark/benchmark.h>
 
@@ -11,7 +11,7 @@
 #include "cellspot/core/aggregation.hpp"
 #include "cellspot/core/cellular_map.hpp"
 #include "cellspot/core/classifier.hpp"
-#include "cellspot/netaddr/prefix_trie.hpp"
+#include "cellspot/netaddr/flat_lpm.hpp"
 #include "cellspot/simnet/world.hpp"
 
 namespace {
@@ -23,7 +23,7 @@ const simnet::World& TinyWorld() {
   return world;
 }
 
-void BM_TrieLongestMatch(benchmark::State& state) {
+void BM_RibOriginOf(benchmark::State& state) {
   const auto& world = TinyWorld();
   std::vector<netaddr::IpAddress> probes;
   for (std::size_t i = 0; i < world.subnets().size(); i += 7) {
@@ -37,20 +37,21 @@ void BM_TrieLongestMatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_TrieLongestMatch);
+BENCHMARK(BM_RibOriginOf);
 
-void BM_TrieInsert(benchmark::State& state) {
+void BM_FlatLpmBuild(benchmark::State& state) {
+  std::vector<std::pair<netaddr::Prefix, std::uint32_t>> entries;
+  const auto parent = netaddr::Prefix::Parse("10.0.0.0/16");
+  for (std::uint64_t b = 0; b < 256; ++b) {
+    entries.emplace_back(netaddr::NthBlock(parent, b), static_cast<std::uint32_t>(b));
+  }
   for (auto _ : state) {
-    netaddr::PrefixTrie<int> trie;
-    const auto parent = netaddr::Prefix::Parse("10.0.0.0/16");
-    for (std::uint64_t b = 0; b < 256; ++b) {
-      trie.Insert(netaddr::NthBlock(parent, b), static_cast<int>(b));
-    }
-    benchmark::DoNotOptimize(trie);
+    auto flat = netaddr::FlatLpm<std::uint32_t>::Build(entries);
+    benchmark::DoNotOptimize(flat);
   }
   state.SetItemsProcessed(state.iterations() * 256);
 }
-BENCHMARK(BM_TrieInsert);
+BENCHMARK(BM_FlatLpmBuild);
 
 void BM_ClassifyDataset(benchmark::State& state) {
   static const dataset::BeaconDataset beacons =

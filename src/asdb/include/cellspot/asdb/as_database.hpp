@@ -4,17 +4,18 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cellspot/asdb/as_record.hpp"
 #include "cellspot/netaddr/flat_lpm.hpp"
 #include "cellspot/netaddr/prefix.hpp"
-#include "cellspot/netaddr/prefix_trie.hpp"
 #include "cellspot/util/ordered_mutex.hpp"
 
 namespace cellspot::asdb {
@@ -39,12 +40,15 @@ class AsDatabase {
 
 /// Announced-prefix table with longest-prefix-match origin lookup.
 ///
-/// Lookups run against a compiled netaddr::FlatLpm when one is present —
-/// built lazily on first use (Flat()) or adopted precompiled from a
-/// memory-mapped snapshot (AdoptFlat) — and fall back to the radix trie
-/// otherwise, with bit-identical results either way. Announce() (not
-/// thread-safe, like all mutation) invalidates the compiled engine;
-/// concurrent const lookups are safe.
+/// Announce() is an O(1) append to one announcement vector (not
+/// thread-safe, like all mutation). The first const query after a
+/// mutation compiles the table once: the announcements are sorted on
+/// packed integer keys and deduplicated, the last announcement of a
+/// prefix winning, into sorted routes; an index by origin follows on the
+/// first PrefixesOf. Origin lookups run against a netaddr::FlatLpm over
+/// the routes — built from them on first use (Flat()) or adopted
+/// precompiled from a memory-mapped snapshot (AdoptFlat). Every step
+/// publishes under one mutex, so concurrent const queries are safe.
 class RoutingTable {
  public:
   using FlatRib = netaddr::FlatLpm<AsNumber>;
@@ -69,19 +73,23 @@ class RoutingTable {
   void OriginOfBatch(std::span<const netaddr::IpAddress> addrs,
                      std::span<AsNumber> out) const;
 
-  /// Origin by exact prefix.
+  /// Origin by exact prefix (a binary search over the sorted routes).
   [[nodiscard]] std::optional<AsNumber> ExactOrigin(const netaddr::Prefix& prefix) const;
 
-  /// All prefixes announced by `asn` (copied out; used by reports).
+  /// All prefixes announced by `asn`, each in the order of the
+  /// announcement that last moved it to `asn` (re-announcing the same
+  /// origin keeps a prefix's place). Copied out; the CSV and snapshot
+  /// writers' bytes depend on this order.
   [[nodiscard]] std::vector<netaddr::Prefix> PrefixesOf(AsNumber asn) const;
 
-  [[nodiscard]] std::size_t size() const noexcept { return trie_.size(); }
+  /// Number of distinct announced prefixes.
+  [[nodiscard]] std::size_t size() const;
 
   /// Number of distinct origins with at least one announced prefix.
-  [[nodiscard]] std::size_t origin_count() const noexcept { return by_asn_.size(); }
+  [[nodiscard]] std::size_t origin_count() const;
 
   /// The compiled flat engine, building (and caching) it on first use.
-  /// Logically const: the engine is a cache over the trie.
+  /// Logically const: the engine is a cache over the routes.
   [[nodiscard]] const FlatRib& Flat() const;
 
   /// Adopt a precompiled engine — the warm-start path, typically a
@@ -97,10 +105,34 @@ class RoutingTable {
   }
 
  private:
-  void InvalidateFlat();
+  using Route = std::pair<netaddr::Prefix, AsNumber>;
 
-  netaddr::PrefixTrie<AsNumber> trie_;
-  std::unordered_map<AsNumber, std::vector<netaddr::Prefix>> by_asn_;
+  /// Compile the routes if an announcement arrived since the last time.
+  void Index() const;
+  /// Index() with flat_mu_ already held.
+  void IndexLocked() const;
+  /// Index(), plus the origin index PrefixesOf and origin_count read.
+  void IndexOrigins() const;
+  /// Drop the compiled state after a mutation.
+  void Invalidate();
+  void CopyFrom(const RoutingTable& other);
+  void MoveFrom(RoutingTable& other) noexcept;
+
+  // The announcement vector. While indexed_ is false, routes_[sorted_,
+  // end) are announcements appended in order since the last compile; the
+  // compile rewrites the whole vector, under flat_mu_, as routes sorted by
+  // prefix with no prefix twice — the exact input FlatRib::Build takes.
+  mutable std::vector<Route> routes_;
+  mutable std::size_t sorted_ = 0;
+  std::uint64_t announced_ = 0;  // Announce() calls over the table's life
+  // Per compiled route: the sequence number of the announcement that last
+  // moved the prefix to its origin (re-announcing that origin does not).
+  mutable std::vector<std::uint32_t> moved_at_;
+  // Built on first use: route indices ordered by (origin, moved_at_), so
+  // PrefixesOf(asn) is one range.
+  mutable std::vector<std::uint32_t> by_origin_;
+  mutable std::atomic<bool> indexed_{true};
+  mutable std::atomic<bool> origins_indexed_{true};
 
   // Compiled-engine cache: flat_ owns, flat_ptr_ publishes (release on
   // store, acquire on load) so hot-path readers skip the mutex.

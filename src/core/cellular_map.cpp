@@ -4,9 +4,9 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <utility>
 
 #include "cellspot/core/aggregation.hpp"
-#include "cellspot/netaddr/prefix_trie.hpp"
 #include "cellspot/util/strings.hpp"
 
 namespace cellspot::core {
@@ -15,16 +15,17 @@ CellularMap::CellularMap(std::vector<netaddr::Prefix> prefixes)
     : prefixes_(std::move(prefixes)) {
   std::sort(prefixes_.begin(), prefixes_.end());
   prefixes_.erase(std::unique(prefixes_.begin(), prefixes_.end()), prefixes_.end());
-  netaddr::PrefixTrie<bool> trie;
+  std::vector<std::pair<netaddr::Prefix, bool>> entries;
+  entries.reserve(prefixes_.size());
   for (const netaddr::Prefix& p : prefixes_) {
     if (p.length() == 0) {
       throw std::invalid_argument(
           "CellularMap: length-0 prefix " + p.ToString() +
           " would claim the entire address space; rejected at construction");
     }
-    trie.Insert(p, true);
+    entries.emplace_back(p, true);
   }
-  flat_ = netaddr::FlatLpm<bool>::Build(trie);
+  flat_ = netaddr::FlatLpm<bool>::Build(entries);
 }
 
 CellularMap CellularMap::FromClassification(const ClassifiedSubnets& classified,

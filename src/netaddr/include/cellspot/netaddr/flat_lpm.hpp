@@ -1,5 +1,5 @@
 // FlatLpm: an immutable, build-once longest-prefix-match engine compiled
-// from a populated PrefixTrie.
+// from a sorted (prefix, value) vector.
 //
 // Instead of walking a pointer-chasing binary trie one bit per step, the
 // stored prefixes are flattened into sorted, disjoint address ranges —
@@ -19,16 +19,19 @@
 // array is read through unaligned-safe byte loads, so the same blob
 // serves three ways: built in memory, decoded from a snapshot section
 // (copying), or viewed zero-copy straight out of a memory-mapped
-// snapshot with a keepalive handle. A nested-interval sweep over
-// PrefixTrie::ForEach (pre-order: ascending starts, covering before
-// covered) emits at most 2n-1 segments per family for n prefixes.
+// snapshot with a keepalive handle. Build() takes its input in
+// Prefix::operator< order (v4 before v6, ascending starts, covering
+// before covered — the pre-order of a binary trie), and a nested-interval
+// sweep over it emits at most 2n-1 segments per family for n prefixes.
 //
 // Exact-prefix queries are not answerable from disjoint ranges (an outer
-// prefix's start may be shadowed by a child); callers that need Exact()
-// keep the trie. Lookup results are byte-identical to the trie's — the
-// differential property test locks this.
+// prefix's start may be shadowed by a child); callers that need them
+// binary-search their sorted input instead. Lookup results are
+// byte-identical to a bit-per-node trie's — the differential property
+// test (tests/lpm_differential_test.cpp) locks this against a trie oracle.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
@@ -41,7 +44,7 @@
 #include <utility>
 #include <vector>
 
-#include "cellspot/netaddr/prefix_trie.hpp"
+#include "cellspot/netaddr/prefix.hpp"
 
 namespace cellspot::netaddr {
 
@@ -78,23 +81,23 @@ template <typename T>
 class FlatLpm {
  public:
   /// An empty engine: every lookup misses. Equivalent to building from
-  /// an empty trie.
+  /// an empty vector.
   FlatLpm() = default;
 
-  /// Compile the packed-range layout from a populated trie. O(n log n)
-  /// in stored prefixes; the result is immutable.
-  [[nodiscard]] static FlatLpm Build(const PrefixTrie<T>& trie) {
-    return Decode(EncodeFromTrie(trie));
+  /// Compile the packed-range layout from (prefix, value) pairs sorted
+  /// strictly ascending by Prefix::operator< — sorted, and no prefix
+  /// twice. O(n) in stored prefixes; the result is immutable. Throws
+  /// FlatLpmError on unsorted or duplicate input. The encoded bytes then
+  /// pass the same validation as Decode and View, the one path every
+  /// engine shares.
+  [[nodiscard]] static FlatLpm Build(std::span<const std::pair<Prefix, T>> entries) {
+    return Own(EncodeSorted(entries));
   }
 
   /// Parse and validate a payload, copying the bytes into an owned
   /// buffer. Throws FlatLpmError on any defect.
   [[nodiscard]] static FlatLpm Decode(std::string_view payload) {
-    auto owned = std::make_shared<const std::string>(payload);
-    const std::string_view stable(*owned);
-    FlatLpm lpm = View(stable, std::move(owned));
-    lpm.view_ = false;
-    return lpm;
+    return Own(std::string(payload));
   }
 
   /// Zero-copy view over externally owned bytes (e.g. a memory-mapped
@@ -116,11 +119,11 @@ class FlatLpm {
   /// default-constructed engine this is the (valid) empty layout.
   [[nodiscard]] std::string Encode() const {
     if (!payload_.empty()) return std::string(payload_);
-    return EncodeFromTrie(PrefixTrie<T>{});
+    return EncodeSorted({});
   }
 
   /// Value at the most specific stored prefix containing `addr`, or
-  /// nullptr. Matches PrefixTrie::LongestMatch bit for bit.
+  /// nullptr.
   [[nodiscard]] const T* LongestMatch(const IpAddress& addr) const {
     const FamilyView& fv = ViewFor(addr.family());
     const std::size_t seg = FindSegment(fv, addr.bytes().data());
@@ -194,7 +197,7 @@ class FlatLpm {
         });
   }
 
-  /// Number of stored prefixes (== the source trie's size()).
+  /// Number of stored prefixes (== the length of Build's input).
   [[nodiscard]] std::size_t size() const noexcept { return values_.size(); }
   [[nodiscard]] bool empty() const noexcept { return values_.empty(); }
 
@@ -232,6 +235,16 @@ class FlatLpm {
     std::size_t width = 4;  // address bytes per entry: 4 (v4) or 16 (v6)
   };
 
+  /// Validate `bytes` (View's full structural pass) and keep them as
+  /// the engine's owned buffer.
+  [[nodiscard]] static FlatLpm Own(std::string bytes) {
+    auto owned = std::make_shared<const std::string>(std::move(bytes));
+    const std::string_view stable(*owned);
+    FlatLpm lpm = View(stable, std::move(owned));
+    lpm.view_ = false;
+    return lpm;
+  }
+
   [[nodiscard]] const FamilyView& ViewFor(Family f) const noexcept {
     return f == Family::kIpv4 ? v4_ : v6_;
   }
@@ -249,23 +262,26 @@ class FlatLpm {
            (static_cast<std::uint64_t>(ReadU32(p + 4)) << 32);
   }
 
-  static void PutU32(std::string& out, std::uint32_t v) {
-    out.push_back(static_cast<char>(v & 0xFF));
-    out.push_back(static_cast<char>((v >> 8) & 0xFF));
-    out.push_back(static_cast<char>((v >> 16) & 0xFF));
-    out.push_back(static_cast<char>((v >> 24) & 0xFF));
+  /// Store at `w` and advance it.
+  static void PutU32(Byte*& w, std::uint32_t v) noexcept {
+    w[0] = static_cast<Byte>(v);
+    w[1] = static_cast<Byte>(v >> 8);
+    w[2] = static_cast<Byte>(v >> 16);
+    w[3] = static_cast<Byte>(v >> 24);
+    w += 4;
   }
 
-  static void PutU64(std::string& out, std::uint64_t v) {
-    PutU32(out, static_cast<std::uint32_t>(v));
-    PutU32(out, static_cast<std::uint32_t>(v >> 32));
+  static void PutU64(Byte*& w, std::uint64_t v) noexcept {
+    PutU32(w, static_cast<std::uint32_t>(v));
+    PutU32(w, static_cast<std::uint32_t>(v >> 32));
   }
 
   // ---- big-endian address-byte arithmetic ---------------------------
 
-  /// memcmp is the numeric order because the bytes are big-endian.
+  /// memcmp is the numeric order because the bytes are big-endian. The
+  /// two constant widths let the compiler inline each comparison.
   [[nodiscard]] static int CmpAddr(const Byte* a, const Byte* b, std::size_t w) noexcept {
-    return std::memcmp(a, b, w);
+    return w == 4 ? std::memcmp(a, b, 4) : std::memcmp(a, b, 16);
   }
 
   /// a += 1 over the first `w` bytes; false on wraparound past all-ones.
@@ -283,43 +299,69 @@ class FlatLpm {
     }
   }
 
-  // ---- build: nested-interval sweep over the trie -------------------
+  // ---- build: nested-interval sweep over the sorted input -----------
 
+  /// One stored prefix as its inclusive address range.
   struct BuildPrefix {
     AddrBytes start{};
     AddrBytes end{};
     std::uint32_t vidx = 0;
   };
 
-  struct BuildSegment {
-    AddrBytes start{};
-    AddrBytes end{};
-    std::uint32_t vidx = 0;
+  [[nodiscard]] static BuildPrefix Bounds(const Prefix& prefix, std::size_t w,
+                                          std::uint32_t vidx) noexcept {
+    BuildPrefix bp;
+    std::memcpy(bp.start.data(), prefix.address().bytes().data(), 16);
+    bp.end = bp.start;
+    // Set every host bit: the inclusive top of the prefix's range.
+    std::size_t k = static_cast<std::size_t>(prefix.length()) / 8;
+    if (const int partial = prefix.length() % 8; partial != 0) {
+      bp.end[k++] |= static_cast<Byte>(0xFFU >> partial);
+    }
+    for (; k < w; ++k) bp.end[k] = 0xFF;
+    bp.vidx = vidx;
+    return bp;
+  }
+
+  /// One family's segments in payload layout: `width`-byte starts and
+  /// ends, and value indices.
+  struct FamilySegments {
+    std::vector<Byte> starts;
+    std::vector<Byte> ends;
+    std::vector<std::uint32_t> vidx;
   };
 
-  /// Flatten one family's prefixes (pre-order from ForEach: ascending
-  /// starts, covering before covered, duplicates impossible) into sorted
-  /// disjoint segments labelled with the innermost covering prefix. A
-  /// stack of currently open prefixes plays the nesting; a cursor marks
-  /// the first address not yet assigned to a segment.
-  static std::vector<BuildSegment> SweepFamily(const std::vector<BuildPrefix>& prefixes,
-                                               std::size_t w) {
-    std::vector<BuildSegment> segments;
-    segments.reserve(prefixes.size() * 2);
-    std::vector<const BuildPrefix*> open;
+  /// Flatten one family's prefixes (Prefix order: ascending starts,
+  /// covering before covered, no duplicates) into sorted disjoint
+  /// segments labelled with the innermost covering prefix. A stack of
+  /// currently open prefixes plays the nesting (at most one per prefix
+  /// length); a cursor marks the first address not yet assigned to a
+  /// segment. `first_vidx` is the value index of prefixes[0].
+  static FamilySegments SweepFamily(std::span<const std::pair<Prefix, T>> prefixes,
+                                    std::uint32_t first_vidx, std::size_t w) {
+    FamilySegments segs;
+    // n prefixes yield at most 2n-1 segments, typically about n.
+    segs.starts.reserve(prefixes.size() * w);
+    segs.ends.reserve(prefixes.size() * w);
+    segs.vidx.reserve(prefixes.size());
+    std::vector<BuildPrefix> open;
     AddrBytes cursor{};
     const auto emit = [&](const AddrBytes& from, const AddrBytes& to, std::uint32_t vidx) {
-      segments.push_back(BuildSegment{from, to, vidx});
+      segs.starts.insert(segs.starts.end(), from.begin(), from.begin() + w);
+      segs.ends.insert(segs.ends.end(), to.begin(), to.begin() + w);
+      segs.vidx.push_back(vidx);
     };
-    for (const BuildPrefix& p : prefixes) {
+    for (std::size_t i = 0; i < prefixes.size(); ++i) {
+      const BuildPrefix p =
+          Bounds(prefixes[i].first, w, first_vidx + static_cast<std::uint32_t>(i));
       // Close every open prefix that ends before this one starts.
-      while (!open.empty() && CmpAddr(open.back()->end.data(), p.start.data(), w) < 0) {
-        const BuildPrefix* top = open.back();
+      while (!open.empty() && CmpAddr(open.back().end.data(), p.start.data(), w) < 0) {
+        const BuildPrefix top = open.back();
         open.pop_back();
-        if (CmpAddr(cursor.data(), top->end.data(), w) <= 0) {
-          emit(cursor, top->end, top->vidx);
-          cursor = top->end;
-          IncAddr(cursor, w);  // top->end < p.start <= max: no wraparound
+        if (CmpAddr(cursor.data(), top.end.data(), w) <= 0) {
+          emit(cursor, top.end, top.vidx);
+          cursor = top.end;
+          IncAddr(cursor, w);  // top.end < p.start <= max: no wraparound
         }
       }
       // The gap between the cursor and this start belongs to the
@@ -327,90 +369,81 @@ class FlatLpm {
       if (!open.empty() && CmpAddr(cursor.data(), p.start.data(), w) < 0) {
         AddrBytes gap_end = p.start;
         DecAddr(gap_end, w);
-        emit(cursor, gap_end, open.back()->vidx);
+        emit(cursor, gap_end, open.back().vidx);
       }
       cursor = p.start;
-      open.push_back(&p);
+      open.push_back(p);
     }
     while (!open.empty()) {
-      const BuildPrefix* top = open.back();
+      const BuildPrefix top = open.back();
       open.pop_back();
-      if (CmpAddr(cursor.data(), top->end.data(), w) <= 0) {
-        emit(cursor, top->end, top->vidx);
-        cursor = top->end;
+      if (CmpAddr(cursor.data(), top.end.data(), w) <= 0) {
+        emit(cursor, top.end, top.vidx);
+        cursor = top.end;
         if (!IncAddr(cursor, w)) break;  // covered through the top address
       }
     }
-    return segments;
+    return segs;
   }
 
-  [[nodiscard]] static std::string EncodeFromTrie(const PrefixTrie<T>& trie) {
-    if (trie.size() > 0xFFFFFFFFULL) {
-      throw FlatLpmError("FlatLpm: more than 2^32-1 prefixes");
+  [[nodiscard]] static std::string EncodeSorted(
+      std::span<const std::pair<Prefix, T>> entries) {
+    const std::size_t n = entries.size();
+    if (n > 0xFFFFFFFFULL) throw FlatLpmError("FlatLpm: more than 2^32-1 prefixes");
+    for (std::size_t i = 1; i < n; ++i) {
+      const Prefix& prev = entries[i - 1].first;
+      const Prefix& next = entries[i].first;
+      if (!(prev < next)) {
+        throw FlatLpmError(std::string("FlatLpm::Build: ") +
+                           (prev == next ? "duplicate prefix " : "input not sorted at ") +
+                           next.ToString());
+      }
     }
-    std::vector<BuildPrefix> v4p;
-    std::vector<BuildPrefix> v6p;
-    std::string value_len;
-    std::string value_enc;
-    value_len.reserve(trie.size());
-    value_enc.reserve(trie.size() * 4);
-    trie.ForEach([&](const Prefix& prefix, const T& value) {
-      BuildPrefix bp;
-      const auto& bytes = prefix.address().bytes();
-      const std::size_t w = prefix.family() == Family::kIpv4 ? 4U : 16U;
-      std::memcpy(bp.start.data(), bytes.data(), 16);
-      bp.end = bp.start;
-      // Set every host bit: the inclusive top of the prefix's range.
-      for (int bit = prefix.length(); bit < static_cast<int>(w) * 8; ++bit) {
-        bp.end[static_cast<std::size_t>(bit / 8)] |=
-            static_cast<Byte>(1U << (7 - bit % 8));
-      }
-      bp.vidx = static_cast<std::uint32_t>(value_len.size());
-      value_len.push_back(static_cast<char>(prefix.length()));
-      PutU32(value_enc, FlatLpmCodec<T>::Encode(value));
-      (prefix.family() == Family::kIpv4 ? v4p : v6p).push_back(bp);
-    });
-    const std::vector<BuildSegment> v4s = SweepFamily(v4p, 4);
-    const std::vector<BuildSegment> v6s = SweepFamily(v6p, 16);
+    // Sorted input puts every v4 prefix first.
+    const auto v4_count = static_cast<std::size_t>(
+        std::partition_point(entries.begin(), entries.end(),
+                             [](const auto& e) { return e.first.family() == Family::kIpv4; }) -
+        entries.begin());
+    const FamilySegments v4s = SweepFamily(entries.first(v4_count), 0, 4);
+    const FamilySegments v6s =
+        SweepFamily(entries.subspan(v4_count), static_cast<std::uint32_t>(v4_count), 16);
 
-    const bool idx4 = v4s.size() >= kIndexThreshold;
-    const bool idx6 = v6s.size() >= kIndexThreshold;
-    std::string out;
-    out.reserve(kHeaderBytes + value_len.size() * 5 + v4s.size() * 12 +
-                v6s.size() * 36 + (idx4 ? (kBuckets + 1) * 4 : 0) +
-                (idx6 ? (kBuckets + 1) * 4 : 0));
-    out.append(kMagic);
-    PutU32(out, kVersion);
-    PutU64(out, value_len.size());
-    PutU64(out, v4s.size());
-    PutU64(out, v6s.size());
-    out.push_back(idx4 ? 1 : 0);
-    out.push_back(idx6 ? 1 : 0);
-    out.append(value_len);
-    out.append(value_enc);
-    const auto append_family = [&](const std::vector<BuildSegment>& segs, std::size_t w,
-                                   bool with_index) {
-      for (const BuildSegment& s : segs) {
-        out.append(reinterpret_cast<const char*>(s.start.data()), w);
-      }
-      for (const BuildSegment& s : segs) {
-        out.append(reinterpret_cast<const char*>(s.end.data()), w);
-      }
-      for (const BuildSegment& s : segs) PutU32(out, s.vidx);
+    const bool idx4 = v4s.vidx.size() >= kIndexThreshold;
+    const bool idx6 = v6s.vidx.size() >= kIndexThreshold;
+    const std::size_t index_bytes = (kBuckets + 1) * 4;
+    std::string out(kHeaderBytes + n * 5 + v4s.vidx.size() * 12 + v6s.vidx.size() * 36 +
+                        (idx4 ? index_bytes : 0) + (idx6 ? index_bytes : 0),
+                    '\0');
+    Byte* w = reinterpret_cast<Byte*>(out.data());
+    std::memcpy(w, kMagic.data(), kMagic.size());
+    w += kMagic.size();
+    PutU32(w, kVersion);
+    PutU64(w, n);
+    PutU64(w, v4s.vidx.size());
+    PutU64(w, v6s.vidx.size());
+    *w++ = idx4 ? 1 : 0;
+    *w++ = idx6 ? 1 : 0;
+    for (const auto& entry : entries) *w++ = static_cast<Byte>(entry.first.length());
+    for (const auto& entry : entries) PutU32(w, FlatLpmCodec<T>::Encode(entry.second));
+    const auto put_family = [&w](const FamilySegments& segs, std::size_t width,
+                                 bool with_index) {
+      w = std::copy(segs.starts.begin(), segs.starts.end(), w);
+      w = std::copy(segs.ends.begin(), segs.ends.end(), w);
+      for (const std::uint32_t vidx : segs.vidx) PutU32(w, vidx);
       if (!with_index) return;
       // index[b] = first segment whose start's top 16 bits are >= b.
+      const std::size_t count = segs.vidx.size();
       std::size_t seg = 0;
       for (std::size_t b = 0; b <= kBuckets; ++b) {
-        while (seg < segs.size() &&
-               (static_cast<std::size_t>(segs[seg].start[0]) << 8 |
-                segs[seg].start[1]) < b) {
+        while (seg < count && (static_cast<std::size_t>(segs.starts[seg * width]) << 8 |
+                               segs.starts[seg * width + 1]) < b) {
           ++seg;
         }
-        PutU32(out, static_cast<std::uint32_t>(seg));
+        PutU32(w, static_cast<std::uint32_t>(seg));
       }
     };
-    append_family(v4s, 4, idx4);
-    append_family(v6s, 16, idx6);
+    put_family(v4s, 4, idx4);
+    put_family(v6s, 16, idx6);
     return out;
   }
 

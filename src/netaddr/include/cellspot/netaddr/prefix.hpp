@@ -47,7 +47,7 @@ class Prefix {
 
  private:
   IpAddress address_{};
-  int length_ = 0;
+  std::uint8_t length_ = 0;  // ≤ 128: one byte keeps a Prefix at 18 bytes
 };
 
 /// The paper's aggregation granularity per family.

@@ -1,5 +1,9 @@
 #include "cellspot/netaddr/prefix.hpp"
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 
 #include "cellspot/util/error.hpp"
@@ -10,18 +14,25 @@ namespace cellspot::netaddr {
 namespace {
 
 IpAddress MaskAddress(const IpAddress& addr, int length) {
-  IpAddress out = addr;
-  for (int i = length; i < addr.bit_width(); ++i) out = out.WithBit(i, false);
-  return out;
+  if (addr.is_v4()) {
+    const std::uint32_t mask = length == 0 ? 0U : ~std::uint32_t{0} << (32 - length);
+    return IpAddress::V4(addr.v4_value() & mask);
+  }
+  std::array<std::uint8_t, 16> bytes = addr.bytes();
+  auto k = static_cast<std::size_t>(length / 8);
+  if (length % 8 != 0) bytes[k++] &= static_cast<std::uint8_t>(0xFFU << (8 - length % 8));
+  std::fill(bytes.begin() + static_cast<std::ptrdiff_t>(k), bytes.end(), std::uint8_t{0});
+  return IpAddress::V6(bytes);
 }
 
 }  // namespace
 
-Prefix::Prefix(IpAddress address, int length) : length_(length) {
+Prefix::Prefix(IpAddress address, int length) {
   if (length < 0 || length > address.bit_width()) {
     throw std::invalid_argument("Prefix: length out of range for family");
   }
   address_ = MaskAddress(address, length);
+  length_ = static_cast<std::uint8_t>(length);
 }
 
 std::optional<Prefix> Prefix::TryParse(std::string_view text) noexcept {

@@ -71,6 +71,13 @@ double LatencyHistogram::ApproxQuantileMs(double q) const noexcept {
   if (total == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
   const double target = q * static_cast<double>(total);
+  // Interpolating inside a power-of-two bucket can overshoot the samples
+  // actually seen (one 5228 ms sample sits in [4194, 8389) ms), so the
+  // estimate is clamped to the recorded range. min/max are read
+  // separately from concurrent updates; max wins if they cross.
+  const double lo = min_ms();
+  const double hi = max_ms();
+  const auto clamp = [lo, hi](double ms) { return std::min(std::max(ms, lo), hi); };
   double cum = 0.0;
   for (std::size_t i = 0; i < kBuckets; ++i) {
     const double in_bucket = static_cast<double>(bucket(i));
@@ -78,11 +85,11 @@ double LatencyHistogram::ApproxQuantileMs(double q) const noexcept {
     if (cum + in_bucket >= target) {
       const double frac = in_bucket > 0.0 ? (target - cum) / in_bucket : 0.0;
       const double us = BucketLoUs(i) + (BucketHiUs(i) - BucketLoUs(i)) * frac;
-      return us / 1000.0;
+      return clamp(us / 1000.0);
     }
     cum += in_bucket;
   }
-  return max_ms();
+  return hi;
 }
 
 void LatencyHistogram::Reset() noexcept {

@@ -1,14 +1,19 @@
-// Differential property test locking FlatLpm to PrefixTrie: on seeded
-// random prefix sets (nested, overlapping, both families) every lookup
-// form — single, with-length, batch, exec-chunked at 1/2/8 threads —
-// must agree with the trie bit for bit. Also covers the payload
-// round-trip (Encode/Decode/View), the mmap-served snapshot path
-// (MappedSnapshot + StageCache lpm entry) and a corruption matrix over
-// the lpm snapshot file.
+// Differential property test locking FlatLpm to the PrefixTrie oracle
+// (tests/oracle): on seeded random prefix sets (nested, overlapping, both
+// families) every lookup form — single, with-length, batch, exec-chunked
+// at 1/2/8 threads — must agree with the trie bit for bit. The sorted-
+// vector Build must encode the same bytes whichever way its input was
+// ordered and deduplicated (the trie's pre-order, an independent stable
+// sort, RoutingTable's packed-key compile) and reject unsorted or
+// duplicate input. Also covers the payload round-trip
+// (Encode/Decode/View), the mmap-served snapshot path (MappedSnapshot +
+// StageCache lpm entry) and a corruption matrix over the lpm snapshot
+// file.
 #include "cellspot/netaddr/flat_lpm.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <filesystem>
@@ -22,13 +27,13 @@
 #include "cellspot/asdb/as_database.hpp"
 #include "cellspot/exec/executor.hpp"
 #include "cellspot/faultsim/stream_corruptor.hpp"
-#include "cellspot/netaddr/prefix_trie.hpp"
 #include "cellspot/obs/metrics.hpp"
 #include "cellspot/snapshot/mapped.hpp"
 #include "cellspot/snapshot/serde.hpp"
 #include "cellspot/snapshot/snapshot.hpp"
 #include "cellspot/snapshot/stage_cache.hpp"
 #include "cellspot/util/rng.hpp"
+#include "oracle/prefix_trie.hpp"
 
 namespace cellspot::netaddr {
 namespace {
@@ -90,6 +95,13 @@ std::vector<IpAddress> ProbeSet(util::Rng& rng, const std::vector<Prefix>& prefi
   return probes;
 }
 
+/// The oracle's own route to a FlatLpm: its pre-order walk is already
+/// sorted and duplicate-free.
+template <typename T>
+FlatLpm<T> BuildFromTrie(const PrefixTrie<T>& trie) {
+  return FlatLpm<T>::Build(trie.SortedEntries());
+}
+
 template <typename T>
 void ExpectSameLookups(const PrefixTrie<T>& trie, const FlatLpm<T>& flat,
                        const std::vector<IpAddress>& probes) {
@@ -120,7 +132,7 @@ TEST(FlatLpmDifferential, MatchesTrieOnSeededRandomSets) {
     for (std::size_t i = 0; i < prefixes.size(); ++i) {
       trie.Insert(prefixes[i], static_cast<std::uint32_t>(i + 1));
     }
-    const FlatLpm<std::uint32_t> flat = FlatLpm<std::uint32_t>::Build(trie);
+    const FlatLpm<std::uint32_t> flat = BuildFromTrie(trie);
     EXPECT_EQ(flat.size(), trie.size());
     ExpectSameLookups(trie, flat, ProbeSet(rng, prefixes, 2000));
   }
@@ -131,7 +143,7 @@ TEST(FlatLpmDifferential, ZeroLengthPrefixCoversEverything) {
   trie.Insert(Prefix::Parse("0.0.0.0/0"), 7);
   trie.Insert(Prefix::Parse("10.0.0.0/8"), 8);
   trie.Insert(Prefix::Parse("::/0"), 9);
-  const auto flat = FlatLpm<std::uint32_t>::Build(trie);
+  const auto flat = BuildFromTrie(trie);
   util::Rng rng(5);
   ExpectSameLookups(trie, flat, ProbeSet(rng, {Prefix::Parse("10.1.2.0/24")}, 500));
   ASSERT_NE(flat.LongestMatch(IpAddress::Parse("255.255.255.255")), nullptr);
@@ -141,7 +153,7 @@ TEST(FlatLpmDifferential, ZeroLengthPrefixCoversEverything) {
 }
 
 TEST(FlatLpmDifferential, EmptyTrie) {
-  const auto flat = FlatLpm<std::uint32_t>::Build(PrefixTrie<std::uint32_t>{});
+  const auto flat = FlatLpm<std::uint32_t>::Build({});
   EXPECT_TRUE(flat.empty());
   EXPECT_EQ(flat.segment_count(), 0u);
   EXPECT_EQ(flat.LongestMatch(IpAddress::Parse("1.2.3.4")), nullptr);
@@ -163,7 +175,7 @@ TEST(FlatLpmDifferential, BatchAndChunkedMatchSingleLookups) {
   for (std::size_t i = 0; i < prefixes.size(); ++i) {
     trie.Insert(prefixes[i], static_cast<std::uint32_t>(i + 1));
   }
-  const auto flat = FlatLpm<std::uint32_t>::Build(trie);
+  const auto flat = BuildFromTrie(trie);
   const std::vector<IpAddress> probes = ProbeSet(rng, prefixes, 3000);
 
   std::vector<const std::uint32_t*> single(probes.size());
@@ -200,7 +212,7 @@ TEST(FlatLpmDifferential, EncodeDecodeViewRoundTrip) {
   for (std::size_t i = 0; i < prefixes.size(); ++i) {
     trie.Insert(prefixes[i], static_cast<std::uint32_t>(i + 1));
   }
-  const auto flat = FlatLpm<std::uint32_t>::Build(trie);
+  const auto flat = BuildFromTrie(trie);
   const std::string payload = flat.Encode();
 
   const auto decoded = FlatLpm<std::uint32_t>::Decode(payload);
@@ -227,7 +239,7 @@ TEST(FlatLpmDifferential, DecodeRejectsStructuralDamageWithoutCrashing) {
   for (std::size_t i = 0; i < prefixes.size(); ++i) {
     trie.Insert(prefixes[i], static_cast<std::uint32_t>(i + 1));
   }
-  const std::string payload = FlatLpm<std::uint32_t>::Build(trie).Encode();
+  const std::string payload = BuildFromTrie(trie).Encode();
 
   // Truncations at every length must throw, never read out of bounds.
   for (std::size_t len = 0; len < payload.size(); len += 7) {
@@ -250,6 +262,108 @@ TEST(FlatLpmDifferential, DecodeRejectsStructuralDamageWithoutCrashing) {
       // rejected: fine
     }
   }
+}
+
+// ---- sorted-vector build ---------------------------------------------------
+
+using Entry = std::pair<Prefix, std::uint32_t>;
+
+/// An announcement history over both families with every shape the
+/// sorted build must handle: nested refinements, /0 defaults, host
+/// routes (/32, /128) and re-announcements whose last value must win,
+/// shuffled so no helpful order survives.
+std::vector<Entry> MixedAnnouncements(std::uint64_t seed, std::size_t count) {
+  util::Rng rng(seed);
+  std::vector<Prefix> prefixes = RandomPrefixSet(rng, count);
+  prefixes.push_back(Prefix::Parse("0.0.0.0/0"));
+  prefixes.push_back(Prefix::Parse("::/0"));
+  for (int i = 0; i < 20; ++i) {
+    prefixes.emplace_back(RandomV4(rng), 32);
+    prefixes.emplace_back(RandomV6(rng), 128);
+  }
+  std::vector<Entry> out;
+  for (const Prefix& p : prefixes) {
+    out.emplace_back(p, static_cast<std::uint32_t>(rng.UniformInt(1, 5000)));
+  }
+  const std::size_t distinct_draws = out.size();
+  for (std::size_t i = 0; i < distinct_draws / 4; ++i) {
+    const Prefix again = out[rng.UniformInt(0, distinct_draws - 1)].first;
+    out.emplace_back(again, static_cast<std::uint32_t>(rng.UniformInt(1, 5000)));
+  }
+  for (std::size_t i = out.size(); i > 1; --i) {
+    std::swap(out[i - 1], out[rng.UniformInt(0, i - 1)]);
+  }
+  return out;
+}
+
+/// Build's input made independently of both the trie and RoutingTable:
+/// a stable sort on Prefix, then the last announcement of each prefix.
+std::vector<Entry> LastWinsSorted(std::vector<Entry> announcements) {
+  std::stable_sort(announcements.begin(), announcements.end(),
+                   [](const Entry& a, const Entry& b) { return a.first < b.first; });
+  std::vector<Entry> out;
+  for (const Entry& e : announcements) {
+    if (!out.empty() && out.back().first == e.first) {
+      out.back().second = e.second;
+    } else {
+      out.push_back(e);
+    }
+  }
+  return out;
+}
+
+TEST(FlatLpmSortedBuild, EncodesTheTrieOracleBytes) {
+  for (const std::uint64_t seed : {3ULL, 17ULL, 256ULL, 4099ULL, 65537ULL}) {
+    const std::vector<Entry> announcements = MixedAnnouncements(seed, 200 + seed % 300);
+    PrefixTrie<std::uint32_t> trie;
+    asdb::RoutingTable rib;
+    for (const auto& [prefix, value] : announcements) {
+      trie.Insert(prefix, value);
+      rib.Announce(prefix, value);
+    }
+    const std::string oracle = BuildFromTrie(trie).Encode();
+    const std::vector<Entry> sorted = LastWinsSorted(announcements);
+    const auto flat = FlatLpm<std::uint32_t>::Build(sorted);
+    EXPECT_EQ(flat.Encode(), oracle) << "seed " << seed;
+    EXPECT_EQ(rib.Flat().Encode(), oracle) << "seed " << seed;
+    ASSERT_EQ(rib.size(), trie.size()) << "seed " << seed;
+    for (const auto& [prefix, value] : sorted) {
+      ASSERT_EQ(rib.ExactOrigin(prefix), value) << prefix.ToString();
+    }
+    util::Rng rng(seed + 1);
+    ExpectSameLookups(trie, flat, ProbeSet(rng, {}, 2000));
+  }
+}
+
+TEST(FlatLpmSortedBuild, PayloadBytesArePinned) {
+  // The payload is a snapshot format (the lpm.rib section): these bytes
+  // were recorded when the engine was still compiled by walking a trie,
+  // and no change to how Build gets its input may move them.
+  PrefixTrie<std::uint32_t> trie;
+  for (const auto& [prefix, value] : MixedAnnouncements(20170406, 2000)) {
+    trie.Insert(prefix, value);
+  }
+  const std::string payload = BuildFromTrie(trie).Encode();
+  EXPECT_EQ(payload.size(), 601563u);
+  EXPECT_EQ(snapshot::Fnv1a64(payload), 0xb6acbcc1275ad2daULL);
+}
+
+TEST(FlatLpmSortedBuild, RejectsUnsortedAndDuplicateInput) {
+  const auto build = [](std::vector<Entry> entries) {
+    return FlatLpm<std::uint32_t>::Build(entries);
+  };
+  const Entry wide{Prefix::Parse("10.0.0.0/8"), 1};
+  const Entry inner{Prefix::Parse("10.0.0.0/16"), 2};
+  const Entry sibling{Prefix::Parse("10.1.0.0/16"), 3};
+  const Entry v6{Prefix::Parse("2001:db8::/32"), 4};
+  EXPECT_EQ(build({wide, inner, sibling, v6}).size(), 4u);
+  EXPECT_THROW(build({inner, wide}), FlatLpmError);    // covered before covering
+  EXPECT_THROW(build({sibling, inner}), FlatLpmError);  // descending starts
+  EXPECT_THROW(build({v6, wide}), FlatLpmError);        // v6 before v4
+  EXPECT_THROW(build({wide, inner, sibling, v6, wide}), FlatLpmError);
+  EXPECT_THROW(build({wide, wide}), FlatLpmError);  // duplicate
+  EXPECT_THROW(build({wide, Entry{wide.first, 9}}), FlatLpmError);
+  EXPECT_THROW(build({wide, inner, inner, v6}), FlatLpmError);
 }
 
 // ---- snapshot + mmap serving ---------------------------------------------

@@ -1,4 +1,4 @@
-#include "cellspot/netaddr/prefix_trie.hpp"
+#include "oracle/prefix_trie.hpp"
 
 #include <gtest/gtest.h>
 

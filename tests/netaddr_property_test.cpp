@@ -5,7 +5,7 @@
 
 #include <vector>
 
-#include "cellspot/netaddr/prefix_trie.hpp"
+#include "oracle/prefix_trie.hpp"
 #include "cellspot/util/rng.hpp"
 
 namespace cellspot::netaddr {

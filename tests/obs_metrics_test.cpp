@@ -56,6 +56,25 @@ TEST(LatencyHistogram, RecordsIntoPowerOfTwoBuckets) {
   EXPECT_LE(p50, h.max_ms());
 }
 
+TEST(LatencyHistogram, QuantilesClampToRecordedRange) {
+  // One 5228 ms sample lands in the [4194, 8389) ms bucket; unclamped
+  // interpolation put its median at 6291 ms, past the maximum.
+  obs::LatencyHistogram h;
+  h.Record(5228.0);
+  EXPECT_DOUBLE_EQ(h.ApproxQuantileMs(0.5), 5228.0);
+  EXPECT_DOUBLE_EQ(h.ApproxQuantileMs(0.99), 5228.0);
+  EXPECT_DOUBLE_EQ(h.ApproxQuantileMs(0.0), 5228.0);
+  EXPECT_DOUBLE_EQ(h.ApproxQuantileMs(1.0), 5228.0);
+
+  // Two samples in one bucket: every quantile stays inside [min, max].
+  h.Record(4300.0);
+  for (const double q : {0.0, 0.25, 0.5, 0.75, 0.99, 1.0}) {
+    const double v = h.ApproxQuantileMs(q);
+    EXPECT_GE(v, h.min_ms()) << q;
+    EXPECT_LE(v, h.max_ms()) << q;
+  }
+}
+
 TEST(LatencyHistogram, EmptyQuantilesAreZero) {
   const obs::LatencyHistogram h;
   EXPECT_EQ(h.count(), 0u);

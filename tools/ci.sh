@@ -184,22 +184,26 @@ run_query() {
 }
 
 # The flat LPM engine end to end: the differential suite (FlatLpm vs
-# PrefixTrie on seeded random sets, the mmap-served snapshot section,
-# the corruption matrix) plus every lookup-path consumer under
-# ASan+UBSan, then the same differential suite and the pipeline
-# determinism matrix under TSan with a forced multi-worker pool, so the
-# chunked batch seam and the RoutingTable's lazily published engine are
+# the tests/oracle PrefixTrie on seeded random sets, sorted-vector Build
+# bytes and input rejection, the mmap-served snapshot section, the
+# corruption matrix), the trie oracle's own tests, the RIB's pinned
+# CSV/snapshot bytes and every lookup-path consumer under ASan+UBSan,
+# then the same differential suite and the pipeline determinism matrix
+# under TSan with a forced multi-worker pool, so the chunked batch seam
+# and the RoutingTable's lazily compiled routes and engine are
 # exercised with real interleavings.
 run_lpm() {
   local dir="build-asan"
   cmake -B "$dir" -S . -DCELLSPOT_SANITIZE=address
   cmake --build "$dir" -j "$jobs" --target \
     lpm_differential_test netaddr_prefix_trie_test core_cellular_map_test \
-    asdb_test snapshot_cache_test
+    asdb_test asdb_serialization_test rib_byte_identity_test snapshot_cache_test
   "$dir/tests/lpm_differential_test"
   "$dir/tests/netaddr_prefix_trie_test"
   "$dir/tests/core_cellular_map_test"
   "$dir/tests/asdb_test"
+  "$dir/tests/asdb_serialization_test"
+  "$dir/tests/rib_byte_identity_test"
   "$dir/tests/snapshot_cache_test"
 
   dir="build-tsan"
