@@ -1,10 +1,13 @@
 // Microbenchmarks of the pipeline's hot paths (google-benchmark):
 // RIB longest-prefix-match, flat LPM compilation, block classification,
-// beacon log parsing, and per-block aggregate generation. These are not paper
-// experiments; they bound the cost of scaling the world up.
+// beacon log parsing, per-block aggregate generation, and the block-keyed
+// StableMap every dataset sits in. These are not paper experiments; they
+// bound the cost of scaling the world up.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <sstream>
+#include <vector>
 
 #include "cellspot/cdn/beacon_generator.hpp"
 #include "cellspot/cdn/beacon_log.hpp"
@@ -13,6 +16,7 @@
 #include "cellspot/core/classifier.hpp"
 #include "cellspot/netaddr/flat_lpm.hpp"
 #include "cellspot/simnet/world.hpp"
+#include "cellspot/util/stable_map.hpp"
 
 namespace {
 
@@ -143,6 +147,65 @@ void BM_WorldGeneration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WorldGeneration)->Unit(benchmark::kMillisecond);
+
+/// Block i of a distinct set: three of four are v4 /24s scattered over
+/// the block space (an odd multiplier is a bijection mod 2^24), the rest
+/// v6 /48s — roughly the datasets' family mix.
+netaddr::Prefix ScatteredBlock(std::uint32_t i) {
+  if (i % 4 != 3) {
+    return {netaddr::IpAddress::V4(((i * 2654435761U) & 0xFFFFFFU) << 8), 24};
+  }
+  std::array<std::uint8_t, 16> bytes{0x20, 0x01};
+  for (int b = 0; b < 4; ++b) bytes[2 + b] = static_cast<std::uint8_t>(i >> (24 - 8 * b));
+  return {netaddr::IpAddress::V6(bytes), 48};
+}
+
+constexpr std::uint32_t kMapKeys = 1'000'000;
+
+const std::vector<netaddr::Prefix>& MillionBlocks() {
+  static const std::vector<netaddr::Prefix> blocks = [] {
+    std::vector<netaddr::Prefix> out;
+    out.reserve(kMapKeys);
+    for (std::uint32_t i = 0; i < kMapKeys; ++i) out.push_back(ScatteredBlock(i));
+    return out;
+  }();
+  return blocks;
+}
+
+// Build a 1M-block map from empty (no reserve): the dataset-merge shape.
+void BM_StableMapInsert(benchmark::State& state) {
+  const auto& blocks = MillionBlocks();
+  for (auto _ : state) {
+    util::StableMap<netaddr::Prefix, double> map;
+    for (const netaddr::Prefix& block : blocks) map.Emplace(block, 1.0);
+    benchmark::DoNotOptimize(map.size());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kMapKeys));
+}
+BENCHMARK(BM_StableMapInsert)->Unit(benchmark::kMillisecond);
+
+// One lookup in the 1M-block map; probes alternate a present block (in
+// a scattered order) and an absent one, like aggregate's IsCellular mix.
+void BM_StableMapFind(benchmark::State& state) {
+  static const util::StableMap<netaddr::Prefix, double> map = [] {
+    util::StableMap<netaddr::Prefix, double> m;
+    for (const netaddr::Prefix& block : MillionBlocks()) m.Emplace(block, 1.0);
+    return m;
+  }();
+  std::vector<netaddr::Prefix> probes;
+  probes.reserve(2 * 65'536);
+  for (std::uint32_t k = 0; k < 65'536; ++k) {
+    probes.push_back(MillionBlocks()[(k * 40'503U) % kMapKeys]);
+    probes.push_back(ScatteredBlock(kMapKeys + k));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(map.Find(probes[i]));
+    i = (i + 1) % probes.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_StableMapFind);
 
 }  // namespace
 

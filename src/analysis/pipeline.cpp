@@ -147,7 +147,7 @@ const std::vector<core::AsAggregate>& Pipeline::Aggregate() {
     Classify();
     StageClock clock(timings_, "aggregate");
     // The sharded engine traces one "aggregate.shard" span per shard
-    // (nested under pipeline.aggregate on the calling thread) and sets
+    // (pipeline.aggregate/exec.batch/aggregate.shard on every thread) and sets
     // the aggregate.pool.* gauges; the stage timing above stays the
     // single "aggregate" entry the five-stage contract pins.
     exp_.candidates = core::AggregateCandidateAsesSharded(

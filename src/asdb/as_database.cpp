@@ -232,14 +232,17 @@ std::size_t RoutingTable::size() const {
   return routes_.size();
 }
 
-std::size_t RoutingTable::origin_count() const {
+std::size_t RoutingTable::origin_count() const { return OriginRanges().size(); }
+
+std::vector<RoutingTable::OriginRange> RoutingTable::OriginRanges() const {
   IndexOrigins();
-  std::size_t count = 0;
-  for (std::size_t k = 0; k < by_origin_.size(); ++k) {
+  std::vector<OriginRange> ranges;
+  for (std::uint32_t k = 0; k < by_origin_.size(); ++k) {
     const AsNumber asn = routes_[by_origin_[k]].second;
-    if (k == 0 || asn != routes_[by_origin_[k - 1]].second) ++count;
+    if (ranges.empty() || ranges.back().asn != asn) ranges.push_back({asn, k, k});
+    ++ranges.back().end;
   }
-  return count;
+  return ranges;
 }
 
 std::optional<AsNumber> RoutingTable::OriginOf(const netaddr::IpAddress& addr) const {

@@ -2,6 +2,7 @@
 // their origin AS, the substrate for the paper's prefix-to-AS attribution.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -82,6 +83,28 @@ class RoutingTable {
   /// writers' bytes depend on this order.
   [[nodiscard]] std::vector<netaddr::Prefix> PrefixesOf(AsNumber asn) const;
 
+  /// visit(asn, prefix) for every prefix whose origin has a record in
+  /// `db`: records in database order, each origin's prefixes in
+  /// PrefixesOf order — the CSV and snapshot RIB writers' order. One walk
+  /// over the origin index, nothing copied. Returns the number visited
+  /// (size() unless some origin has no record).
+  template <typename Visit>
+  std::size_t ForEachPrefixByRecord(const AsDatabase& db, Visit&& visit) const {
+    const std::vector<OriginRange> ranges = OriginRanges();
+    std::size_t visited = 0;
+    for (const AsRecord& record : db.records()) {
+      const auto it = std::lower_bound(
+          ranges.begin(), ranges.end(), record.asn,
+          [](const OriginRange& r, AsNumber asn) { return r.asn < asn; });
+      if (it == ranges.end() || it->asn != record.asn) continue;
+      for (std::uint32_t k = it->begin; k < it->end; ++k) {
+        visit(record.asn, routes_[by_origin_[k]].first);
+      }
+      visited += it->end - it->begin;
+    }
+    return visited;
+  }
+
   /// Number of distinct announced prefixes.
   [[nodiscard]] std::size_t size() const;
 
@@ -106,6 +129,12 @@ class RoutingTable {
 
  private:
   using Route = std::pair<netaddr::Prefix, AsNumber>;
+  /// One origin's run [begin, end) of by_origin_.
+  struct OriginRange {
+    AsNumber asn;
+    std::uint32_t begin;
+    std::uint32_t end;
+  };
 
   /// Compile the routes if an announcement arrived since the last time.
   void Index() const;
@@ -113,6 +142,8 @@ class RoutingTable {
   void IndexLocked() const;
   /// Index(), plus the origin index PrefixesOf and origin_count read.
   void IndexOrigins() const;
+  /// IndexOrigins(), then each origin's run of it, ascending by ASN.
+  [[nodiscard]] std::vector<OriginRange> OriginRanges() const;
   /// Drop the compiled state after a mutation.
   void Invalidate();
   void CopyFrom(const RoutingTable& other);

@@ -114,11 +114,9 @@ void SaveRoutingTableCsv(const RoutingTable& rib, const AsDatabase& db,
                          std::ostream& out) {
   util::CsvWriter writer(out);
   writer.WriteRow({"prefix", "asn"});
-  for (const AsRecord& record : db.records()) {
-    for (const netaddr::Prefix& prefix : rib.PrefixesOf(record.asn)) {
-      writer.WriteRow({prefix.ToString(), std::to_string(record.asn)});
-    }
-  }
+  rib.ForEachPrefixByRecord(db, [&](AsNumber asn, const netaddr::Prefix& prefix) {
+    writer.WriteRow({prefix.ToString(), std::to_string(asn)});
+  });
 }
 
 namespace {

@@ -141,6 +141,9 @@ dataset::BeaconDataset BeaconGenerator::GenerateDataset(exec::Executor& executor
 
   // Ordered merge: chunk order is index order, so the dataset sees the
   // same insertion sequence as the sequential loop.
+  std::size_t blocks = 0;
+  for (const auto& local : partials) blocks += local.size();
+  out.Reserve(blocks);
   for (auto& local : partials) {
     for (auto& [i, stats] : local) out.Add(subnets[i].block, stats);
   }

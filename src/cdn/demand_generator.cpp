@@ -87,6 +87,7 @@ dataset::DemandDataset DemandGenerator::GenerateRawDataset(exec::Executor& execu
         }
       });
 
+  out.Reserve(work.size());
   for (auto& local : partials) {
     for (const auto& [i, total] : local) out.Add(subnets[i].block, total);
   }

@@ -95,7 +95,14 @@ ClassifiedSubnets SubnetClassifier::Classify(const dataset::BeaconDataset& beaco
   // Ordered merge in dataset iteration order, so the output containers
   // see the same insertion sequence as the sequential implementation.
   ClassifiedSubnets out;
-  out.ratios_.reserve(beacons.block_count());
+  std::size_t observed = 0;
+  std::size_t cellular = 0;
+  for (const Verdict& v : verdicts) {
+    observed += v.observed ? 1 : 0;
+    cellular += v.cellular ? 1 : 0;
+  }
+  out.ratios_.reserve(observed);
+  out.cellular_.reserve(cellular);
   for (std::size_t i = 0; i < items.size(); ++i) {
     if (!verdicts[i].observed) continue;
     // The recorded ratio is always the point estimate (it feeds Fig 2);

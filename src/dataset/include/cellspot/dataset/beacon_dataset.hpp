@@ -53,6 +53,9 @@ class BeaconDataset {
   /// std::invalid_argument otherwise).
   void Add(const netaddr::Prefix& block, const BeaconBlockStats& stats);
 
+  /// Room for `blocks` distinct blocks without regrowth.
+  void Reserve(std::size_t blocks) { blocks_.reserve(blocks); }
+
   [[nodiscard]] const BeaconBlockStats* Find(const netaddr::Prefix& block) const noexcept;
 
   [[nodiscard]] std::size_t block_count() const noexcept { return blocks_.size(); }

@@ -25,6 +25,9 @@ class DemandDataset {
   /// demand.
   void Add(const netaddr::Prefix& block, double raw_demand);
 
+  /// Room for `blocks` distinct blocks without regrowth.
+  void Reserve(std::size_t blocks) { blocks_.reserve(blocks); }
+
   /// Rescale so the sum over all blocks equals kTotalDemandUnits.
   /// No-op on an empty dataset.
   void Normalize();

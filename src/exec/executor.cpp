@@ -43,6 +43,9 @@ struct Executor::Job {
   std::size_t n = 0;
   std::size_t grain = 1;
   const std::function<void(std::size_t, std::size_t, std::size_t)>* body = nullptr;
+  // The submitting thread's exec.batch span: workers run their chunks
+  // under it, so chunk spans nest the same way on every thread.
+  const obs::TraceSpan* trace_parent = nullptr;
 
   std::vector<Range> ranges;            // one span of chunk indices per participant
   std::vector<std::unique_ptr<std::mutex>> range_mu;
@@ -107,6 +110,7 @@ void Executor::ParallelForChunks(
   job.n = n;
   job.grain = grain;
   job.body = &body;
+  job.trace_parent = obs::TraceSpan::Current();
   job.chunks_left.store(chunks, std::memory_order_relaxed);
   const unsigned participants = threads_;
   job.ranges.resize(participants);
@@ -188,7 +192,10 @@ void Executor::WorkerLoop(unsigned participant) {
       last_seen = job_seq_;
       ++job->active;
     }
-    RunJob(*job, participant);
+    {
+      const obs::ScopedTraceParent adopt(job->trace_parent);
+      RunJob(*job, participant);
+    }
     {
       std::lock_guard<std::mutex> lock(mu_);
       --job->active;

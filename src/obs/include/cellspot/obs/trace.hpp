@@ -6,9 +6,12 @@
 // aggregate row exists per distinct call-site nesting rather than per
 // occurrence.
 //
-// Nesting state is thread_local: a span opened on the calling thread is
-// not the parent of spans opened by executor workers (their stacks are
-// empty), which keeps the fast path lock-free and the paths meaningful.
+// Nesting state is thread_local, which keeps the fast path lock-free: a
+// span opened on one thread is not the parent of spans another thread
+// opens, unless that thread adopts it with a ScopedTraceParent. The
+// executor's workers adopt the submitting thread's exec.batch span for
+// each batch, so a chunk's spans get the same path whichever thread ran
+// it, and the span tree is the same at any thread count.
 #pragma once
 
 #include <chrono>
@@ -47,11 +50,28 @@ class TraceSpan {
 
  private:
   MetricsRegistry* registry_;
-  TraceSpan* parent_;
+  const TraceSpan* parent_;
   std::string path_;
   int depth_;
   std::uint64_t items_ = 0;
   std::chrono::steady_clock::time_point start_;
+};
+
+/// Makes `parent` — typically a span open on another thread — the calling
+/// thread's innermost span for this scope, so spans opened here nest
+/// under it; the previous innermost span is restored on exit. `parent`
+/// must stay open until the scope ends. Spans only read their parent's
+/// path and depth, so many threads may adopt one parent at once.
+class ScopedTraceParent {
+ public:
+  explicit ScopedTraceParent(const TraceSpan* parent) noexcept;
+  ~ScopedTraceParent();
+
+  ScopedTraceParent(const ScopedTraceParent&) = delete;
+  ScopedTraceParent& operator=(const ScopedTraceParent&) = delete;
+
+ private:
+  const TraceSpan* saved_;
 };
 
 }  // namespace cellspot::obs

@@ -17,6 +17,7 @@
 #include "cellspot/asdb/as_database.hpp"
 #include "cellspot/netaddr/prefix.hpp"
 #include "cellspot/simnet/world_config.hpp"
+#include "cellspot/util/flat_index.hpp"
 
 namespace cellspot::exec {
 class Executor;
@@ -109,13 +110,20 @@ class World {
   [[nodiscard]] const CountryProfile* CountryOf(const Subnet& s) const noexcept;
 
  private:
+  /// Index subnets_ by block (positions into subnets_, so the blocks are
+  /// not copied); false if a block repeats.
+  bool IndexBlocks();
+  [[nodiscard]] auto BlockAt() const noexcept {
+    return [this](std::size_t pos) -> const netaddr::Prefix& { return subnets_[pos].block; };
+  }
+
   WorldConfig config_;
   asdb::AsDatabase as_db_;
   asdb::RoutingTable rib_;
   std::vector<Subnet> subnets_;
   std::vector<OperatorInfo> operators_;
   std::unordered_map<asdb::AsNumber, std::size_t> op_index_;
-  std::unordered_map<netaddr::Prefix, std::uint32_t> block_index_;
+  util::FlatIndex<netaddr::Prefix> block_index_;
   std::vector<Carrier> carriers_;
 
   friend class WorldBuilder;

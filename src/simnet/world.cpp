@@ -129,7 +129,9 @@ class WorldBuilder {
 
     EmitInfrastructure();
     PickValidationCarriers();
-    BuildIndexes();
+    if (!world_.IndexBlocks()) {
+      throw std::logic_error("World::Generate: a block was allocated twice");
+    }
     return std::move(world_);
   }
 
@@ -971,13 +973,6 @@ class WorldBuilder {
     world_.subnets_.push_back(std::move(s));
   }
 
-  void BuildIndexes() {
-    world_.block_index_.reserve(world_.subnets_.size());
-    for (std::uint32_t i = 0; i < world_.subnets_.size(); ++i) {
-      world_.block_index_.emplace(world_.subnets_[i].block, i);
-    }
-  }
-
   util::Rng rng_;
   util::Rng mobile_rng_{0xB10B5ULL};
   BlockAllocator alloc_;
@@ -1007,9 +1002,16 @@ std::span<const Subnet> World::SubnetsOf(const OperatorInfo& op) const {
 }
 
 const Subnet* World::FindSubnet(const netaddr::Prefix& block) const noexcept {
-  const auto it = block_index_.find(block);
-  if (it == block_index_.end()) return nullptr;
-  return &subnets_[it->second];
+  const std::size_t i = block_index_.Find(block, BlockAt());
+  return i == util::FlatIndex<netaddr::Prefix>::kNpos ? nullptr : &subnets_[i];
+}
+
+bool World::IndexBlocks() {
+  block_index_.Reserve(subnets_.size(), BlockAt());
+  for (const Subnet& s : subnets_) {
+    if (!block_index_.FindOrAppend(s.block, BlockAt(), [] {}).second) return false;
+  }
+  return true;
 }
 
 const CountryProfile* World::CountryOf(const Subnet& s) const noexcept {

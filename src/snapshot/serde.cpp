@@ -278,14 +278,11 @@ std::vector<Section> EncodeWorld(const simnet::World& world) {
     // so a violation surfaces at save time instead of as a wrong RIB.
     ByteWriter w;
     w.Varint(world.rib().size());
-    std::uint64_t written = 0;
-    for (const asdb::AsRecord& rec : world.as_db().records()) {
-      for (const netaddr::Prefix& prefix : world.rib().PrefixesOf(rec.asn)) {
-        w.Varint(rec.asn);
-        PutPrefix(w, prefix);
-        ++written;
-      }
-    }
+    const std::size_t written = world.rib().ForEachPrefixByRecord(
+        world.as_db(), [&](asdb::AsNumber asn, const netaddr::Prefix& prefix) {
+          w.Varint(asn);
+          PutPrefix(w, prefix);
+        });
     if (written != world.rib().size()) {
       Malformed("RIB has announcements from ASNs outside the AS database");
     }
@@ -451,13 +448,7 @@ simnet::World Access::DecodeWorldSections(const std::vector<Section>& sections) 
     r.ExpectEnd();
   }
 
-  world.block_index_.reserve(world.subnets_.size());
-  for (std::uint32_t i = 0; i < world.subnets_.size(); ++i) {
-    world.block_index_.emplace(world.subnets_[i].block, i);
-  }
-  if (world.block_index_.size() != world.subnets_.size()) {
-    Malformed("duplicate subnet blocks");
-  }
+  if (!world.IndexBlocks()) Malformed("duplicate subnet blocks");
   return world;
 }
 

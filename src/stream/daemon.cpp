@@ -1,5 +1,6 @@
 #include "cellspot/stream/daemon.hpp"
 
+#include <algorithm>
 #include <iostream>
 #include <utility>
 
@@ -279,34 +280,46 @@ bool StreamDaemon::TryRestore() {
 dataset::BeaconDataset StreamDaemon::ExportBeacons() const {
   // Subnet-index order, skipping hit-less blocks: the exact insertion
   // sequence of cdn::BeaconGenerator::GenerateDataset.
+  const auto has_beacons = [](const Slot& s) { return s.beacon_seq != 0 && s.stats.hits != 0; };
   dataset::BeaconDataset out;
+  out.Reserve(static_cast<std::size_t>(std::count_if(slots_.begin(), slots_.end(), has_beacons)));
   const std::span<const simnet::Subnet> subnets = world_.subnets();
   for (std::size_t i = 0; i < slots_.size(); ++i) {
-    const Slot& slot = slots_[i];
-    if (slot.beacon_seq == 0 || slot.stats.hits == 0) continue;
-    out.Add(subnets[i].block, slot.stats);
+    if (has_beacons(slots_[i])) out.Add(subnets[i].block, slots_[i].stats);
   }
   return out;
 }
 
 dataset::DemandDataset StreamDaemon::ExportDemand() const {
+  const auto has_demand = [](const Slot& s) { return s.demand_seq != 0; };
   dataset::DemandDataset out;
+  out.Reserve(static_cast<std::size_t>(std::count_if(slots_.begin(), slots_.end(), has_demand)));
   const std::span<const simnet::Subnet> subnets = world_.subnets();
   for (std::size_t i = 0; i < slots_.size(); ++i) {
-    const Slot& slot = slots_[i];
-    if (slot.demand_seq == 0) continue;
-    out.Add(subnets[i].block, slot.demand_raw);
+    if (has_demand(slots_[i])) out.Add(subnets[i].block, slots_[i].demand_raw);
   }
   out.Normalize();
   return out;
 }
 
 core::ClassifiedSubnets StreamDaemon::ExportClassified() const {
+  const auto is_observed = [](const Slot& s) {
+    return s.beacon_seq != 0 && s.stats.hits != 0 && s.observed;
+  };
+  std::size_t observed = 0;
+  std::size_t cellular = 0;
+  for (const Slot& slot : slots_) {
+    if (!is_observed(slot)) continue;
+    ++observed;
+    if (slot.cellular) ++cellular;
+  }
   core::ClassifiedSubnets out;
+  out.ratios_.reserve(observed);
+  out.cellular_.reserve(cellular);
   const std::span<const simnet::Subnet> subnets = world_.subnets();
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     const Slot& slot = slots_[i];
-    if (slot.beacon_seq == 0 || slot.stats.hits == 0 || !slot.observed) continue;
+    if (!is_observed(slot)) continue;
     out.ratios_.Emplace(subnets[i].block, slot.stats.CellularRatio());
     if (slot.cellular) out.cellular_.Insert(subnets[i].block);
   }

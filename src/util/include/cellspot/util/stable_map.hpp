@@ -2,19 +2,23 @@
 //
 // The datasets and classification output are saved, snapshotted, and
 // re-exported; byte-identical roundtrips require that iteration order be
-// a property of the data, not of the hash table's bucket layout (which
-// libstdc++ does not reproduce across re-insertion). StableMap/StableSet
-// keep entries in a vector (insertion order) with an unordered index for
-// O(1) lookup. Erase is deliberately unsupported — the datasets only ever
-// accumulate.
+// a property of the data, not of a hash table's layout. StableMap/
+// StableSet keep entries in a vector (insertion order) and find them
+// through a util::FlatIndex (flat_index.hpp): one flat open-addressing
+// table of packed (hash tag, position) words over that vector, with no
+// second copy of the keys and no per-key heap node. Erase is deliberately
+// unsupported — the datasets only ever accumulate. References to entries
+// are invalidated by any insertion (the vector may reallocate), never by
+// a lookup.
 #pragma once
 
 #include <cstddef>
 #include <functional>
 #include <initializer_list>
-#include <unordered_map>
 #include <utility>
 #include <vector>
+
+#include "cellspot/util/flat_index.hpp"
 
 namespace cellspot::util {
 
@@ -33,36 +37,38 @@ class StableMap {
 
   /// Value for `key`, default-constructed and appended on first access.
   Value& operator[](const Key& key) {
-    const auto [it, inserted] = index_.try_emplace(key, entries_.size());
-    if (inserted) entries_.emplace_back(key, Value{});
-    return entries_[it->second].second;
+    const std::size_t pos =
+        index_.FindOrAppend(key, KeyAt(), [&] { entries_.emplace_back(key, Value{}); }).first;
+    return entries_[pos].second;
   }
 
   /// Insert (key, value) if absent; returns false (and leaves the map
   /// unchanged) when the key already exists.
   bool Emplace(const Key& key, Value value) {
-    const auto [it, inserted] = index_.try_emplace(key, entries_.size());
-    if (inserted) entries_.emplace_back(key, std::move(value));
-    return inserted;
+    return index_
+        .FindOrAppend(key, KeyAt(), [&] { entries_.emplace_back(key, std::move(value)); })
+        .second;
   }
 
   [[nodiscard]] const Value* Find(const Key& key) const noexcept {
-    const auto it = index_.find(key);
-    return it == index_.end() ? nullptr : &entries_[it->second].second;
+    const std::size_t pos = index_.Find(key, KeyAt());
+    return pos == Index::kNpos ? nullptr : &entries_[pos].second;
   }
   [[nodiscard]] Value* Find(const Key& key) noexcept {
-    const auto it = index_.find(key);
-    return it == index_.end() ? nullptr : &entries_[it->second].second;
+    const std::size_t pos = index_.Find(key, KeyAt());
+    return pos == Index::kNpos ? nullptr : &entries_[pos].second;
   }
   [[nodiscard]] bool Contains(const Key& key) const noexcept {
-    return index_.contains(key);
+    return index_.Find(key, KeyAt()) != Index::kNpos;
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
   [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
+  /// Room for `n` entries without regrowth. Throws std::length_error past
+  /// 2^32 - 2 entries.
   void reserve(std::size_t n) {
+    index_.Reserve(n, KeyAt());
     entries_.reserve(n);
-    index_.reserve(n);
   }
 
   /// Iteration in insertion order. Mutable iteration exposes the key by
@@ -83,8 +89,14 @@ class StableMap {
   }
 
  private:
+  using Index = FlatIndex<Key, Hash>;
+
+  [[nodiscard]] auto KeyAt() const noexcept {
+    return [this](std::size_t pos) -> const Key& { return entries_[pos].first; };
+  }
+
   std::vector<Entry> entries_;
-  std::unordered_map<Key, std::size_t, Hash> index_;
+  Index index_;
 };
 
 template <typename Key, typename Hash = std::hash<Key>>
@@ -100,20 +112,20 @@ class StableSet {
 
   /// Insert `key` if absent; returns false when it was already present.
   bool Insert(const Key& key) {
-    const auto [it, inserted] = index_.try_emplace(key, entries_.size());
-    if (inserted) entries_.push_back(key);
-    return inserted;
+    return index_.FindOrAppend(key, KeyAt(), [&] { entries_.push_back(key); }).second;
   }
 
   [[nodiscard]] bool Contains(const Key& key) const noexcept {
-    return index_.contains(key);
+    return index_.Find(key, KeyAt()) != Index::kNpos;
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
   [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
+  /// Room for `n` members without regrowth. Throws std::length_error past
+  /// 2^32 - 2 members.
   void reserve(std::size_t n) {
+    index_.Reserve(n, KeyAt());
     entries_.reserve(n);
-    index_.reserve(n);
   }
 
   [[nodiscard]] auto begin() const noexcept { return entries_.begin(); }
@@ -129,8 +141,14 @@ class StableSet {
   }
 
  private:
+  using Index = FlatIndex<Key, Hash>;
+
+  [[nodiscard]] auto KeyAt() const noexcept {
+    return [this](std::size_t pos) -> const Key& { return entries_[pos]; };
+  }
+
   std::vector<Key> entries_;
-  std::unordered_map<Key, std::size_t, Hash> index_;
+  Index index_;
 };
 
 }  // namespace cellspot::util

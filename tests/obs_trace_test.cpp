@@ -1,15 +1,18 @@
 // TraceSpan contract tests: per-thread nesting produces '/'-joined
-// aggregate paths, worker threads do not inherit the caller's stack, and
-// running the analysis pipeline emits one span aggregate per stage (plus
-// nested exec.batch spans) into the global registry.
+// aggregate paths, plain threads do not inherit the caller's stack (an
+// adopted parent does), and running the analysis pipeline emits one span
+// aggregate per stage (plus nested exec.batch spans) into the global
+// registry, with the same span paths at any thread count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cellspot/analysis/pipeline.hpp"
+#include "cellspot/exec/executor.hpp"
 #include "cellspot/obs/metrics.hpp"
 #include "cellspot/obs/trace.hpp"
 #include "cellspot/simnet/world.hpp"
@@ -91,6 +94,24 @@ TEST(TraceSpan, OtherThreadsDoNotInheritTheCallersStack) {
   EXPECT_EQ(other_path, "worker");  // not "outer/worker"
 }
 
+TEST(TraceSpan, AnAdoptedParentNestsAnotherThreadsSpans) {
+  MetricsRegistry reg;
+  TraceSpan outer("outer", reg);
+  std::string other_path;
+  std::thread worker([&] {
+    {
+      const obs::ScopedTraceParent adopt(&outer);
+      EXPECT_EQ(TraceSpan::Current(), &outer);
+      TraceSpan mine("worker", reg);
+      other_path = mine.path();
+      EXPECT_EQ(mine.depth(), 1);
+    }
+    EXPECT_EQ(TraceSpan::Current(), nullptr);
+  });
+  worker.join();
+  EXPECT_EQ(other_path, "outer/worker");
+}
+
 TEST(TraceSpan, ElapsedIsMonotonic) {
   TraceSpan span("clock");
   const double a = span.elapsed_ms();
@@ -134,6 +155,33 @@ TEST(PipelineTracing, EveryStageEmitsASpanAggregate) {
       });
   EXPECT_TRUE(has_nested_batch);
   reg.ResetForTest();
+}
+
+// The distinct span paths of one tiny pipeline run on a `threads`-thread
+// executor.
+std::set<std::string> PipelineSpanPaths(unsigned threads) {
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  reg.ResetForTest();
+  exec::Executor executor(threads);
+  analysis::Pipeline::Config config;
+  config.world = simnet::WorldConfig::Tiny();
+  analysis::Pipeline pipeline(config, executor);
+  (void)pipeline.Run();
+  std::set<std::string> paths;
+  for (const auto& row : reg.Snapshot().spans) paths.insert(row.path);
+  reg.ResetForTest();
+  return paths;
+}
+
+TEST(PipelineTracing, SpanPathsAreTheSameAtAnyThreadCount) {
+  // Pool workers run a batch's chunks under the submitting thread's
+  // exec.batch span, so which thread ran a shard never shows in its path.
+  const std::set<std::string> one = PipelineSpanPaths(1);
+  EXPECT_TRUE(one.contains("pipeline.aggregate/exec.batch/aggregate.shard"));
+  EXPECT_FALSE(one.contains("aggregate.shard"));
+  for (const unsigned threads : {2U, 8U}) {
+    EXPECT_EQ(PipelineSpanPaths(threads), one) << threads << " threads";
+  }
 }
 
 }  // namespace

@@ -16,7 +16,9 @@
 #include <string>
 
 #include "cellspot/faultsim/stream_corruptor.hpp"
+#include "cellspot/netaddr/ip_address.hpp"
 #include "cellspot/obs/metrics.hpp"
+#include "cellspot/snapshot/binary_io.hpp"
 #include "cellspot/snapshot/serde.hpp"
 #include "cellspot/snapshot/snapshot.hpp"
 
@@ -42,6 +44,42 @@ std::string ReadFileBytes(const fs::path& path) {
 void WriteFileBytes(const fs::path& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// `sections` with the world.subnets payload re-encoded so that subnet 1
+// carries subnet 0's block; every other byte is kept. The section CRCs
+// are recomputed by EncodeSnapshot, so only the decoder's own validation
+// can catch the duplicate.
+std::vector<Section> WithSecondSubnetBlockDuplicated(std::vector<Section> sections) {
+  for (Section& section : sections) {
+    if (section.name != "world.subnets") continue;
+    ByteReader r(section.payload);
+    ByteWriter w;
+    const std::uint64_t count = r.Varint();
+    w.Varint(count);
+    std::string first_block;
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const std::uint8_t family = r.U8();
+      const std::uint8_t length = r.U8();
+      const std::size_t width =
+          family == static_cast<std::uint8_t>(netaddr::Family::kIpv4) ? 4 : 16;
+      std::string block;
+      block.push_back(static_cast<char>(family));
+      block.push_back(static_cast<char>(length));
+      block.append(r.Bytes(width));
+      if (i == 0) first_block = block;
+      w.Bytes(i == 1 ? first_block : block);
+      w.Varint(r.Varint());  // asn
+      w.U16(r.U16());        // country
+      w.U8(r.U8());          // flags
+      for (int f = 0; f < 4; ++f) w.U64(r.U64());
+    }
+    r.ExpectEnd();
+    section.payload = std::move(w).Take();
+    return sections;
+  }
+  ADD_FAILURE() << "no world.subnets section";
+  return sections;
 }
 
 class CorruptionMatrix : public ::testing::Test {
@@ -118,6 +156,23 @@ TEST_F(CorruptionMatrix, StaleFormatVersionFallsBack) {
   bytes[4] = static_cast<char>(kSnapshotFormatVersion + 1);  // u32 LE version field
   WriteFileBytes(path_, bytes);
   ExpectRejectedThenRecovers("version-mismatch");
+}
+
+TEST_F(CorruptionMatrix, DuplicatedSubnetBlockIsMalformed) {
+  // Every section is well formed and every CRC matches; only the block
+  // index the decoder builds can see that two subnets share a block.
+  const std::vector<Section> sections = WithSecondSubnetBlockDuplicated(EncodeWorld(world_));
+  ASSERT_GE(world_.subnets().size(), 2U);
+  try {
+    (void)DecodeWorld(sections);
+    ADD_FAILURE() << "a duplicated subnet block decoded";
+  } catch (const SnapshotError& e) {
+    EXPECT_EQ(e.reason(), SnapshotErrorReason::kMalformed);
+    EXPECT_NE(std::string(e.what()).find("duplicate subnet blocks"), std::string::npos)
+        << e.what();
+  }
+  WriteFileBytes(path_, EncodeSnapshot(sections));
+  ExpectRejectedThenRecovers("malformed");
 }
 
 TEST_F(CorruptionMatrix, StreamCorruptorDamageNeverCrashesOrLies) {

@@ -54,11 +54,14 @@ run() {
 run_tsan() {
   local dir="build-tsan"
   cmake -B "$dir" -S . -DCELLSPOT_SANITIZE=thread
-  cmake --build "$dir" -j "$jobs" --target exec_test pipeline_determinism_test obs_metrics_test
+  cmake --build "$dir" -j "$jobs" --target exec_test pipeline_determinism_test obs_metrics_test \
+    obs_trace_test
   local tsan_opts="suppressions=$PWD/tools/tsan.supp halt_on_error=1"
   TSAN_OPTIONS="$tsan_opts" CELLSPOT_THREADS=4 "$dir/tests/exec_test"
   TSAN_OPTIONS="$tsan_opts" CELLSPOT_THREADS=4 "$dir/tests/pipeline_determinism_test"
   TSAN_OPTIONS="$tsan_opts" CELLSPOT_THREADS=8 "$dir/tests/obs_metrics_test"
+  # Pool workers read the submitting thread's exec.batch span.
+  TSAN_OPTIONS="$tsan_opts" CELLSPOT_THREADS=8 "$dir/tests/obs_trace_test"
 }
 
 # Exercises the bench regression harness end to end at a tiny world
